@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check docs-lint staticcheck govulncheck chaos chaos-fleet chaos-agent chaos-wan soak crawl bench bench-sim bench-serve bench-serve-sustained bench-fleet bench-scale bench-agent clean
+.PHONY: all build vet test race check docs-lint staticcheck govulncheck chaos chaos-fleet chaos-agent chaos-wan soak crawl bench bench-e2e bench-sim bench-serve bench-serve-sustained bench-fleet bench-scale bench-agent clean
 
 all: check
 
@@ -19,16 +19,18 @@ race:
 	$(GO) test -race ./...
 
 # Tier-1 gate: everything builds and vets clean, the analysis-engine and
-# stats worker pools pass under the race detector, the full suite
-# (including the golden parallel-vs-sequential byte-identity test) passes,
-# and the chaos suite proves the pipeline is crash-safe.
+# stats worker pools and the state fork arena (which hands out forks to
+# several goroutines) pass under the race detector, the full suite
+# (including the golden parallel-vs-sequential byte-identity test and the
+# pinned output digests) passes, and the chaos suite proves the pipeline is
+# crash-safe.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) docs-lint
 	$(MAKE) staticcheck
 	$(MAKE) govulncheck
-	$(GO) test -race ./internal/core/... ./internal/stats/...
+	$(GO) test -race ./internal/core/... ./internal/stats/... ./internal/state/...
 	$(GO) test ./...
 	$(MAKE) chaos
 	$(MAKE) chaos-fleet
@@ -128,6 +130,12 @@ soak:
 # The fault-injected crawl demo (byte-identical stdout per -seed).
 crawl:
 	$(GO) run ./cmd/relaycrawl
+
+# The end-to-end benchmark BENCHMARK.json declares: every workload
+# (study-full, corpus-ingest, serve-read, serve-reload), one after another.
+# Builds from this checkout; output stays under .bench_build/.
+bench-e2e:
+	bash e2ebench/run.sh --workload all
 
 # DESIGN.md §3 benchmark set over the full paper window, recorded as a
 # committed machine-readable baseline. EngineRegenScan vs EngineRegenIndexed

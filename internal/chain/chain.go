@@ -182,11 +182,12 @@ func (c *Chain) ByHash(h types.Hash) (*StoredBlock, bool) {
 // execution by builders and validators.
 func (c *Chain) StateCopy() *state.State { return c.st.Copy() }
 
-// StateFork returns an O(1) copy-on-write fork of the canonical head state.
-// Forks read through to the canonical state, so they must be dropped before
-// the next Accept; several forks may be used from different goroutines as
-// long as the canonical state stays unmutated.
-func (c *Chain) StateFork() *state.State { return c.st.Fork() }
+// StateFork returns an O(1) copy-on-write fork of the canonical head state,
+// taken from arena. Forks read through to the canonical state, so they must
+// be dead before the next Accept; several forks may be used from different
+// goroutines as long as the canonical state stays unmutated. The fork lives
+// until the arena's next Reclaim.
+func (c *Chain) StateFork(arena *state.Arena) *state.State { return arena.Fork(c.st) }
 
 // State returns the canonical state. Callers other than Accept must not
 // mutate it; use StateCopy for simulation.
@@ -263,13 +264,14 @@ func (c *Chain) Validate(block *types.Block) (*ProcessResult, *state.State, erro
 }
 
 // ValidateFork is Validate served from an O(1) copy-on-write fork of the
-// canonical state instead of a deep copy. The returned post-state reads
-// through to the canonical state, so it is only safe while the canonical
-// state stays unmutated — i.e. within one slot round, before Accept. The
-// parallel slot engine uses it for the per-relay speculative validations
-// whose post-states are discarded at commit time.
-func (c *Chain) ValidateFork(block *types.Block) (*ProcessResult, *state.State, error) {
-	return c.validate(block, c.st.Fork())
+// canonical state, taken from arena, instead of a deep copy. The returned
+// post-state reads through to the canonical state, so it is only safe while
+// the canonical state stays unmutated — i.e. within one slot round, before
+// Accept — and until the arena's next Reclaim. The parallel slot engine uses
+// it for the per-relay speculative validations; AcceptValidated absorbs the
+// winner's post-state before the engine reclaims the arena.
+func (c *Chain) ValidateFork(block *types.Block, arena *state.Arena) (*ProcessResult, *state.State, error) {
+	return c.validate(block, arena.Fork(c.st))
 }
 
 // validate runs the header checks and executes block against postState,

@@ -21,9 +21,9 @@ type Pair struct {
 }
 
 // Storage slots for the reserves.
-const (
-	slotReserve0 = "r0"
-	slotReserve1 = "r1"
+var (
+	slotReserve0 = state.Key{Kind: state.KindReserve0}
+	slotReserve1 = state.Key{Kind: state.KindReserve1}
 )
 
 // NewPair creates an AMM pair with a deterministic address derived from the

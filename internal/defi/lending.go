@@ -28,13 +28,12 @@ type Lending struct {
 	BonusBps uint64
 }
 
-// Storage slots.
-const (
-	slotPrice = "price" // debt-token wei per 1 ETH (1e18 collateral wei)
-)
+// slotPrice holds the oracle price: debt-token wei per 1 ETH (1e18
+// collateral wei).
+var slotPrice = state.Key{Kind: state.KindPrice}
 
-func collKey(user types.Address) string { return keysFor(user).coll }
-func debtKey(user types.Address) string { return keysFor(user).debt }
+func collKey(user types.Address) state.Key { return state.Key{Kind: state.KindColl, Holder: user} }
+func debtKey(user types.Address) state.Key { return state.Key{Kind: state.KindDebt, Holder: user} }
 
 // oneEther is the price scale: prices are debt-wei per 1e18 collateral wei.
 var oneEther = u256.New(1_000_000_000_000_000_000)

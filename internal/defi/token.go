@@ -2,7 +2,6 @@ package defi
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/ethpbs/pbslab/internal/crypto"
 	"github.com/ethpbs/pbslab/internal/evm"
@@ -11,30 +10,9 @@ import (
 	"github.com/ethpbs/pbslab/internal/u256"
 )
 
-// addrKeys memoizes the composed per-address storage-slot keys. Key strings
-// are built from a hex encoding on every balance or position access, which
-// profiles as the single largest allocation site in a simulation; the
-// address population is bounded, so caching the three composed strings per
-// address removes those allocations entirely. sync.Map because the parallel
-// slot engine executes transactions from several goroutines.
-type addrKeys struct{ bal, coll, debt string }
-
-var keyCache sync.Map // types.Address -> *addrKeys
-
-func keysFor(a types.Address) *addrKeys {
-	if v, ok := keyCache.Load(a); ok {
-		return v.(*addrKeys)
-	}
-	h := a.Hex()
-	v, _ := keyCache.LoadOrStore(a, &addrKeys{
-		bal: "bal:" + h, coll: "coll:" + h, debt: "debt:" + h,
-	})
-	return v.(*addrKeys)
-}
-
 // Token is an ERC-20 style fungible token. Balances live in the token
-// contract's storage under "bal:<holder>" so speculative state copies carry
-// them automatically.
+// contract's storage under the holder's bal key, so speculative state copies
+// carry them automatically.
 type Token struct {
 	Addr   types.Address
 	Symbol string
@@ -46,7 +24,9 @@ func NewToken(symbol string) *Token {
 	return &Token{Addr: crypto.AddressFromSeed("token/" + symbol), Symbol: symbol}
 }
 
-func balKey(holder types.Address) string { return keysFor(holder).bal }
+func balKey(holder types.Address) state.Key {
+	return state.Key{Kind: state.KindBal, Holder: holder}
+}
 
 // BalanceOf returns holder's token balance.
 func (t *Token) BalanceOf(st *state.State, holder types.Address) u256.Int {

@@ -22,10 +22,13 @@ import (
 )
 
 // checkpointVersion gates the on-disk format; bump it on any change to the
-// checkpoint struct so stale files are skipped rather than misdecoded.
-// Version 2 day-shards the chain: sealed days live in immutable shard
-// files and the head checkpoint carries only the open day's blocks.
-const checkpointVersion = 2
+// checkpoint struct (or a type it embeds) so a stale file fails the resume
+// with a version error rather than being misdecoded. Version 2 day-shards
+// the chain: sealed days live in immutable shard files and the head
+// checkpoint carries only the open day's blocks. Version 3 stores state
+// storage under typed keys (state.Slot{Contract, Key{Kind, Holder}})
+// instead of strings.
+const checkpointVersion = 3
 
 // defaultCheckpointKeep bounds retained checkpoint files per directory.
 const defaultCheckpointKeep = 3
@@ -494,10 +497,11 @@ func pruneCheckpoints(dir string, keep int) error {
 
 // loadLatestCheckpoint scans dir newest-first for a head checkpoint that
 // decodes cleanly, matches the scenario fingerprint, and whose referenced
-// day shards all verify against their recorded digests. Corrupt or
-// mismatched files are skipped — a truncated newest head (or one whose
-// shard rotted) falls back to the one before it. Returns (nil, nil) when
-// nothing usable exists.
+// day shards all verify against their recorded digests. Corrupt files and
+// files of another scenario are skipped — a truncated newest head (or one
+// whose shard rotted) falls back to the one before it. A file written in
+// another checkpoint version is an error. Returns (nil, nil) when nothing
+// usable exists.
 func loadLatestCheckpoint(dir string, sc Scenario) (*checkpoint, error) {
 	names, err := checkpointFiles(dir)
 	if err != nil {
@@ -510,11 +514,20 @@ next:
 		if err != nil {
 			continue
 		}
+		// Read the version alone first: a checkpoint of another format
+		// fails the resume and is never decoded into this version's types.
+		var head struct{ Version int }
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&head); err != nil {
+			continue
+		}
+		if head.Version != checkpointVersion {
+			return nil, fmt.Errorf("sim: checkpoint %s: version %d, want %d", name, head.Version, checkpointVersion)
+		}
 		cp := &checkpoint{}
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(cp); err != nil {
 			continue
 		}
-		if cp.Version != checkpointVersion || cp.Fingerprint != fp {
+		if cp.Fingerprint != fp {
 			continue
 		}
 		for _, ref := range cp.SealedDays {

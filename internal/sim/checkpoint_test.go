@@ -1,14 +1,24 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/ethpbs/pbslab/internal/crypto"
+	"github.com/ethpbs/pbslab/internal/types"
+	"github.com/ethpbs/pbslab/internal/u256"
 )
 
 // sameResult compares the observable outcome of two runs: the canonical
@@ -207,6 +217,52 @@ func TestResumeRejectsForeignScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, baseline, res)
+}
+
+// TestResumeRejectsOldCheckpointVersion writes a version-2 checkpoint, whose
+// state storage is keyed by strings, and resumes over it: the resume must
+// fail with the version error, never decode the file into typed keys and
+// never silently start over.
+func TestResumeRejectsOldCheckpointVersion(t *testing.T) {
+	type v2Slot struct {
+		Contract types.Address
+		Key      string
+	}
+	type v2Snapshot struct {
+		Balances map[types.Address]types.Wei
+		Nonces   map[types.Address]uint64
+		Storage  map[v2Slot]u256.Int
+	}
+	type v2Checkpoint struct {
+		Version     int
+		Fingerprint string
+		Slot        uint64
+		State       v2Snapshot
+	}
+	sc := shortScenario(2)
+	pool := crypto.AddressFromSeed("pool")
+	h := sha256.Sum256([]byte(fmt.Sprintf("pbslab/checkpoint/v2|%+v", sc)))
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(v2Checkpoint{
+		Version:     2,
+		Fingerprint: hex.EncodeToString(h[:]),
+		Slot:        4_700_010,
+		State: v2Snapshot{
+			Balances: map[types.Address]types.Wei{pool: types.Ether(1)},
+			Storage:  map[v2Slot]u256.Int{{pool, "r0"}: u256.New(1000)},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointName(4_700_010)), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunOpts(context.Background(), sc, RunOptions{CheckpointDir: dir, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version 2, want %d", checkpointVersion)) {
+		t.Fatalf("resume over a v2 checkpoint: err = %v, want the version error", err)
+	}
 }
 
 // TestCheckpointRetention keeps the checkpoint directory bounded.

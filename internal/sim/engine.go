@@ -18,6 +18,10 @@ package sim
 //      sequential path's order, so order-sensitive relay state (best-bid
 //      replacement is strictly-greater) is untouched.
 //
+// Every fork a slot round takes — searcher context, builds, validations and
+// the local fallback block — comes from the engine's arena, which the run
+// loop reclaims once per slot after the winner is accepted.
+//
 // Worker panics are isolated by the stats worker pool and surface as run
 // errors instead of crashing sibling builds.
 
@@ -32,6 +36,7 @@ import (
 	"github.com/ethpbs/pbslab/internal/pbs"
 	"github.com/ethpbs/pbslab/internal/rng"
 	"github.com/ethpbs/pbslab/internal/searcher"
+	"github.com/ethpbs/pbslab/internal/state"
 	"github.com/ethpbs/pbslab/internal/stats"
 	"github.com/ethpbs/pbslab/internal/types"
 )
@@ -62,6 +67,8 @@ type slotEngine struct {
 	w       *World
 	view    *cachingView
 	workers int
+	// arena supplies every state fork of the current slot round.
+	arena state.Arena
 
 	tasks []*buildTask // task pool, grown on demand
 	used  int
@@ -79,20 +86,21 @@ type slotEngine struct {
 }
 
 // newSlotEngine switches the run onto the parallel path: the validation
-// cache falls back to fork-based validation and every relay resolves its
-// blacklist from a precomputed schedule.
+// cache falls back to fork-based validation from the engine's arena and
+// every relay resolves its blacklist from a precomputed schedule.
 func newSlotEngine(w *World, view *cachingView, workers int) *slotEngine {
-	view.fork = true
 	for _, name := range w.RelayOrder {
 		w.Relays[name].EnableBlacklistSchedule()
 	}
-	return &slotEngine{
+	eng := &slotEngine{
 		w:           w,
 		view:        view,
 		workers:     workers,
 		seen:        map[types.Hash]bool{},
 		blSchedules: map[*builderEntry]*ofac.Schedule{},
 	}
+	view.arena = &eng.arena
+	return eng
 }
 
 // grabTask returns a recycled (or new) task with its buffers reset.
@@ -234,7 +242,7 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 	if n := len(eng.par); n > 0 {
 		err := stats.ParallelDaysErr(context.Background(), n, eng.workers, func(i int) error {
 			t := eng.par[i]
-			t.args.State = w.Chain.StateFork()
+			t.args.State = w.Chain.StateFork(&eng.arena)
 			t.res, t.ok = t.e.B.Build(t.args)
 			if t.ok {
 				t.sub = t.e.B.Submission(t.args, t.res)
@@ -246,7 +254,7 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 		}
 	}
 	for _, t := range eng.seq {
-		t.args.State = w.Chain.StateFork()
+		t.args.State = w.Chain.StateFork(&eng.arena)
 		t.res, t.ok = w.Exploiter.Build(t.args)
 		if !t.ok {
 			continue
@@ -280,7 +288,7 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 		}
 		eng.valRes = eng.valRes[:n]
 		err := stats.ParallelDaysErr(context.Background(), n, eng.workers, func(i int) error {
-			res, st, verr := w.Chain.ValidateFork(eng.valBlocks[i])
+			res, st, verr := w.Chain.ValidateFork(eng.valBlocks[i], &eng.arena)
 			eng.valRes[i] = cachedValidation{res: res, st: st, err: verr}
 			return nil
 		})

@@ -66,10 +66,11 @@ type Result struct {
 type cachingView struct {
 	c     *chain.Chain
 	cache map[types.Hash]cachedValidation
-	// fork switches cache misses to copy-on-write fork validation. The
-	// parallel slot engine sets it; relays discard the post-state, and the
-	// cache is cleared every slot, so a fork never outlives its base.
-	fork bool
+	// arena, when set, switches cache misses to copy-on-write fork
+	// validation. The parallel slot engine sets it to its slot arena;
+	// relays discard the post-state, and the cache is cleared every slot,
+	// so a fork never outlives its base.
+	arena *state.Arena
 }
 
 type cachedValidation struct {
@@ -87,8 +88,8 @@ func (v *cachingView) Validate(block *types.Block) (*chain.ProcessResult, *state
 		st  *state.State
 		err error
 	)
-	if v.fork {
-		res, st, err = v.c.ValidateFork(block)
+	if v.arena != nil {
+		res, st, err = v.c.ValidateFork(block, v.arena)
 	} else {
 		res, st, err = v.c.Validate(block)
 	}
@@ -305,7 +306,7 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 		var sctxState *state.State
 		if eng != nil {
 			pending = w.Mempool.ExecutableOrdered(w.Chain.State(), baseFee, 400)
-			sctxState = w.Chain.StateFork()
+			sctxState = w.Chain.StateFork(&eng.arena)
 		} else {
 			pending = w.Mempool.Executable(w.Chain.State(), baseFee, 400)
 			sctxState = w.Chain.StateCopy()
@@ -392,7 +393,7 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 				// Engine path: pack on a fork and keep the execution
 				// artifacts, so the commit below absorbs the fork instead of
 				// re-executing the block.
-				st := w.Chain.StateFork()
+				st := w.Chain.StateFork(&eng.arena)
 				newBlock, localArt.res = builder.BuildLocalExec(w.Chain, st, rs.slot,
 					op.FeeRecipient, localPending, op.LocalCoverage, rs.localRng)
 				localArt.st = st
@@ -415,6 +416,11 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 			return nil, fmt.Errorf("sim: slot %d: accept: %w", rs.slot, err)
 		}
 		w.Chain.State().ClearJournal()
+		if eng != nil {
+			// The winner is absorbed, so every fork of this slot is dead:
+			// hand their maps and journals back for the next slot.
+			eng.arena.Reclaim()
+		}
 		w.Ledger.RecordProposal(proposer)
 
 		// 5. Post-block housekeeping.

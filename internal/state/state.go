@@ -4,27 +4,77 @@
 //
 // Keeping *all* mutable chain state in one copyable structure is what makes
 // speculative execution work: builders simulate candidate blocks and bundles
-// against a Copy of the canonical state and only the canonical chain applies
-// the winner, exactly as real block builders run simulations against a
-// forked StateDB.
+// against a Copy or Fork of the canonical state and only the canonical chain
+// applies the winner, exactly as real block builders run simulations against
+// a forked StateDB.
+//
+// The hot path allocates nothing and holds no pointers the collector has to
+// scan: storage slots are fixed-size typed keys, undo-journal entries are
+// plain values, and an Arena recycles the maps and journals of short-lived
+// forks instead of letting every speculative execution grow fresh ones.
 package state
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/ethpbs/pbslab/internal/types"
 	"github.com/ethpbs/pbslab/internal/u256"
 )
 
-// Slot identifies one storage cell within a contract. Slots are small
-// strings ("r0", "bal:0xabc…"), chosen for debuggability over hashing.
+// Key kinds: the storage layouts the DeFi contracts use. The first three are
+// one cell per contract; the rest hold one cell per holder address.
+const (
+	KindReserve0 uint8 = iota + 1 // AMM reserve of token0
+	KindReserve1                  // AMM reserve of token1
+	KindPrice                     // lending oracle price
+	KindBal                       // token balance of Holder
+	KindColl                      // lending collateral of Holder
+	KindDebt                      // lending debt of Holder
+)
+
+// kindNames renders each kind the way storage keys were spelled when they
+// were strings, so error messages read as they always have.
+var kindNames = [...]string{
+	KindReserve0: "r0",
+	KindReserve1: "r1",
+	KindPrice:    "price",
+	KindBal:      "bal",
+	KindColl:     "coll",
+	KindDebt:     "debt",
+}
+
+// Key names one storage cell within a contract: a kind, plus the holder for
+// per-holder kinds (the zero address otherwise). It is a fixed-size value,
+// so slot maps hash bytes instead of strings and hold no pointers.
+type Key struct {
+	Kind   uint8
+	Holder types.Address
+}
+
+// String renders the key as "r0", "price" or "bal:0x<holder>".
+func (k Key) String() string {
+	var name string
+	if int(k.Kind) < len(kindNames) {
+		name = kindNames[k.Kind]
+	}
+	if name == "" {
+		name = fmt.Sprintf("kind%d", k.Kind)
+	}
+	if k.Kind >= KindBal {
+		return name + ":" + k.Holder.Hex()
+	}
+	return name
+}
+
+// Slot identifies one storage cell within a contract.
 type Slot struct {
 	Contract types.Address
-	Key      string
+	Key      Key
 }
 
 // State is the mutable world state. It is not safe for concurrent use; each
-// goroutine works on its own Copy.
+// goroutine works on its own Copy or Fork.
 //
 // State supports cheap speculative execution through an undo journal:
 // Snapshot marks a point, RevertTo unwinds every mutation since. Builders
@@ -41,16 +91,18 @@ type State struct {
 	// deletions shadow the base). The base must not be mutated while forks
 	// of it are alive; concurrent forks may then read it safely.
 	base *State
+	// reclaimed marks a fork its Arena has taken back: every use panics
+	// until the arena hands it out again.
+	reclaimed bool
 }
 
-// undo is one reversible mutation.
+// undo is one reversible mutation. It holds no pointers, so journals cost
+// the collector nothing to scan.
 type undo struct {
-	kind    uint8 // 0 balance, 1 nonce, 2 storage
-	addr    types.Address
-	slot    Slot
-	prevWei types.Wei
-	prevN   uint64
-	present bool // previous key existed
+	kind    uint8
+	present bool     // previous key existed
+	slot    Slot     // balance and nonce entries keep the account in slot.Contract
+	prev    u256.Int // previous value; a nonce lives in prev[0]
 }
 
 const (
@@ -68,29 +120,40 @@ func New() *State {
 	}
 }
 
+// live panics when s is a fork its arena has reclaimed.
+func (s *State) live() {
+	if s.reclaimed {
+		panic("state: use of a fork after its arena was reclaimed")
+	}
+}
+
 // Snapshot marks the current mutation point for RevertTo.
-func (s *State) Snapshot() int { return len(s.journal) }
+func (s *State) Snapshot() int {
+	s.live()
+	return len(s.journal)
+}
 
 // RevertTo unwinds every mutation made after the given snapshot.
 func (s *State) RevertTo(snap int) {
+	s.live()
 	for i := len(s.journal) - 1; i >= snap; i-- {
-		u := s.journal[i]
+		u := &s.journal[i]
 		switch u.kind {
 		case undoBalance:
 			if u.present {
-				s.balances[u.addr] = u.prevWei
+				s.balances[u.slot.Contract] = u.prev
 			} else {
-				delete(s.balances, u.addr)
+				delete(s.balances, u.slot.Contract)
 			}
 		case undoNonce:
 			if u.present {
-				s.nonces[u.addr] = u.prevN
+				s.nonces[u.slot.Contract] = u.prev[0]
 			} else {
-				delete(s.nonces, u.addr)
+				delete(s.nonces, u.slot.Contract)
 			}
 		case undoStorage:
 			if u.present {
-				s.storage[u.slot] = u.prevWei
+				s.storage[u.slot] = u.prev
 			} else {
 				delete(s.storage, u.slot)
 			}
@@ -100,22 +163,29 @@ func (s *State) RevertTo(snap int) {
 }
 
 // ClearJournal drops undo history (mutations become permanent). Callers do
-// this after committing a block so journals do not grow without bound.
-func (s *State) ClearJournal() { s.journal = s.journal[:0] }
+// this after committing a block so journals do not grow without bound; the
+// backing array is kept for the next block.
+func (s *State) ClearJournal() {
+	s.live()
+	s.journal = s.journal[:0]
+}
 
 func (s *State) noteBalance(addr types.Address) {
+	s.live()
 	prev, ok := s.balances[addr]
-	s.journal = append(s.journal, undo{kind: undoBalance, addr: addr, prevWei: prev, present: ok})
+	s.journal = append(s.journal, undo{kind: undoBalance, present: ok, slot: Slot{Contract: addr}, prev: prev})
 }
 
 func (s *State) noteNonce(addr types.Address) {
+	s.live()
 	prev, ok := s.nonces[addr]
-	s.journal = append(s.journal, undo{kind: undoNonce, addr: addr, prevN: prev, present: ok})
+	s.journal = append(s.journal, undo{kind: undoNonce, present: ok, slot: Slot{Contract: addr}, prev: u256.Int{prev}})
 }
 
 func (s *State) noteStorage(sl Slot) {
+	s.live()
 	prev, ok := s.storage[sl]
-	s.journal = append(s.journal, undo{kind: undoStorage, slot: sl, prevWei: prev, present: ok})
+	s.journal = append(s.journal, undo{kind: undoStorage, present: ok, slot: sl, prev: prev})
 }
 
 // Copy returns a deep copy sharing nothing with the receiver. Copying a
@@ -132,6 +202,7 @@ func (s *State) Copy() *State {
 
 // flattenInto layers s (base first, then the fork's writes) into c.
 func (s *State) flattenInto(c *State) {
+	s.live()
 	if s.base != nil {
 		s.base.flattenInto(c)
 	}
@@ -160,6 +231,7 @@ func (s *State) flattenInto(c *State) {
 // forks are dead. The absorbed writes are not journalled; callers commit at
 // block boundaries where the journal is cleared anyway.
 func (s *State) AbsorbFork(f *State) error {
+	f.live()
 	if f.base != s {
 		return fmt.Errorf("state: AbsorbFork of a state that is not a direct fork of the receiver")
 	}
@@ -180,24 +252,75 @@ func (s *State) AbsorbFork(f *State) error {
 }
 
 // Fork returns a copy-on-write view of s in O(1): reads fall through to s
-// until the fork writes a key, and every mutation stays in the fork. The
-// parallel slot engine hands each speculative execution (builder blocks,
-// relay validations, searcher probes) its own fork of the canonical state;
-// s must stay unmutated while the fork is alive, which also makes several
-// forks of one base safe to use from different goroutines.
+// until the fork writes a key, and every mutation stays in the fork. s must
+// stay unmutated while the fork is alive, which also makes several forks of
+// one base safe to use from different goroutines. Forks that die within a
+// slot round come from an Arena instead, which recycles their maps.
 func (s *State) Fork() *State {
-	return &State{
-		balances: map[types.Address]types.Wei{},
-		nonces:   map[types.Address]uint64{},
-		storage:  map[Slot]u256.Int{},
-		base:     s,
+	s.live()
+	f := New()
+	f.base = s
+	return f
+}
+
+// Arena hands out forks whose maps and journals are recycled in bulk. The
+// parallel slot engine takes every speculative fork of a slot round from
+// one arena and reclaims them all at one point, after the round's winner
+// has been absorbed into the canonical state: reclaiming clears each fork's
+// maps and journal in place, so the next round's forks reuse their buckets
+// and backing arrays instead of growing fresh ones. Fork is safe to call
+// from several goroutines; Reclaim must not race with Fork or with any use
+// of the arena's forks. The zero Arena is ready to use.
+type Arena struct {
+	mu   sync.Mutex
+	live []*State // handed out since the last Reclaim
+	free []*State // cleared, ready to hand out
+}
+
+// Fork returns a copy-on-write fork of base (see State.Fork) that stays
+// valid until the arena's next Reclaim; any use after that panics.
+func (a *Arena) Fork(base *State) *State {
+	base.live()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var f *State
+	if n := len(a.free); n > 0 {
+		f = a.free[n-1]
+		a.free = a.free[:n-1]
+		f.reclaimed = false
+	} else {
+		f = New()
 	}
+	f.base = base
+	a.live = append(a.live, f)
+	return f
+}
+
+// Reclaim takes back every fork handed out since the last Reclaim. Their
+// maps and journals are cleared in place for reuse, and each is marked so
+// that any later use through a stale reference panics instead of silently
+// reading an empty state.
+func (a *Arena) Reclaim() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, f := range a.live {
+		clear(f.balances)
+		clear(f.nonces)
+		clear(f.storage)
+		f.journal = f.journal[:0]
+		f.base = nil
+		f.reclaimed = true
+	}
+	a.free = append(a.free, a.live...)
+	clear(a.live)
+	a.live = a.live[:0]
 }
 
 // Export returns a deep snapshot of the state for checkpointing. The
 // journal is not captured: checkpoints are taken at block boundaries where
 // it is empty (ClearJournal runs after every Accept). Forks are flattened.
 func (s *State) Export() Snapshot {
+	s.live()
 	flat := s
 	if s.base != nil {
 		flat = s.Copy()
@@ -255,6 +378,7 @@ func (s *State) Balance(addr types.Address) types.Wei {
 	if s.base != nil {
 		return s.base.Balance(addr)
 	}
+	s.live()
 	return types.Wei{}
 }
 
@@ -303,6 +427,7 @@ func (s *State) Nonce(addr types.Address) uint64 {
 	if s.base != nil {
 		return s.base.Nonce(addr)
 	}
+	s.live()
 	return 0
 }
 
@@ -320,7 +445,7 @@ func (s *State) IncNonce(addr types.Address) {
 }
 
 // Get reads a storage slot (zero when unset).
-func (s *State) Get(contract types.Address, key string) u256.Int {
+func (s *State) Get(contract types.Address, key Key) u256.Int {
 	if len(s.storage) > 0 {
 		if v, ok := s.storage[Slot{contract, key}]; ok {
 			return v
@@ -329,13 +454,14 @@ func (s *State) Get(contract types.Address, key string) u256.Int {
 	if s.base != nil {
 		return s.base.Get(contract, key)
 	}
+	s.live()
 	return u256.Int{}
 }
 
 // Set writes a storage slot. Writing zero deletes the slot, keeping Copy
 // costs proportional to live state; in a fork the zero is stored as a
 // tombstone instead so the deletion shadows the base.
-func (s *State) Set(contract types.Address, key string, v u256.Int) {
+func (s *State) Set(contract types.Address, key Key, v u256.Int) {
 	sl := Slot{contract, key}
 	s.noteStorage(sl)
 	if v.IsZero() && s.base == nil {
@@ -346,13 +472,13 @@ func (s *State) Set(contract types.Address, key string, v u256.Int) {
 }
 
 // AddTo adds v to a storage slot interpreted as an amount.
-func (s *State) AddTo(contract types.Address, key string, v u256.Int) {
+func (s *State) AddTo(contract types.Address, key Key, v u256.Int) {
 	s.Set(contract, key, s.Get(contract, key).Add(v))
 }
 
 // SubFrom subtracts v from a storage slot, failing without mutation when the
 // stored amount is insufficient.
-func (s *State) SubFrom(contract types.Address, key string, v u256.Int) error {
+func (s *State) SubFrom(contract types.Address, key Key, v u256.Int) error {
 	cur := s.Get(contract, key)
 	if cur.Lt(v) {
 		return fmt.Errorf("state: slot %s/%s underflow: have %s, need %s", contract, key, cur, v)
@@ -366,6 +492,7 @@ func (s *State) TotalSupply() types.Wei {
 	if s.base != nil {
 		return s.Copy().TotalSupply()
 	}
+	s.live()
 	total := u256.Zero
 	for _, v := range s.balances {
 		total = total.Add(v)
@@ -378,6 +505,7 @@ func (s *State) Accounts() int {
 	if s.base != nil {
 		return s.Copy().Accounts()
 	}
+	s.live()
 	seen := map[types.Address]bool{}
 	for a, v := range s.balances {
 		if !v.IsZero() {

@@ -2,6 +2,8 @@ package state
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/ethpbs/pbslab/internal/crypto"
@@ -13,6 +15,11 @@ var (
 	alice = crypto.AddressFromSeed("alice")
 	bob   = crypto.AddressFromSeed("bob")
 	pool  = crypto.AddressFromSeed("pool")
+
+	r0       = Key{Kind: KindReserve0}
+	r1       = Key{Kind: KindReserve1}
+	price    = Key{Kind: KindPrice}
+	aliceBal = Key{Kind: KindBal, Holder: alice}
 )
 
 func TestBalances(t *testing.T) {
@@ -77,32 +84,32 @@ func TestNonces(t *testing.T) {
 
 func TestStorage(t *testing.T) {
 	s := New()
-	if !s.Get(pool, "r0").IsZero() {
+	if !s.Get(pool, r0).IsZero() {
 		t.Error("unset slot not zero")
 	}
-	s.Set(pool, "r0", u256.New(1000))
-	if got := s.Get(pool, "r0"); got != u256.New(1000) {
+	s.Set(pool, r0, u256.New(1000))
+	if got := s.Get(pool, r0); got != u256.New(1000) {
 		t.Errorf("slot = %s", got)
 	}
-	s.AddTo(pool, "r0", u256.New(500))
-	if got := s.Get(pool, "r0"); got != u256.New(1500) {
+	s.AddTo(pool, r0, u256.New(500))
+	if got := s.Get(pool, r0); got != u256.New(1500) {
 		t.Errorf("AddTo = %s", got)
 	}
-	if err := s.SubFrom(pool, "r0", u256.New(2000)); err == nil {
+	if err := s.SubFrom(pool, r0, u256.New(2000)); err == nil {
 		t.Error("slot underflow allowed")
 	}
-	if err := s.SubFrom(pool, "r0", u256.New(1500)); err != nil {
+	if err := s.SubFrom(pool, r0, u256.New(1500)); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Get(pool, "r0").IsZero() {
+	if !s.Get(pool, r0).IsZero() {
 		t.Error("slot not zeroed")
 	}
 }
 
 func TestZeroSlotDeleted(t *testing.T) {
 	s := New()
-	s.Set(pool, "x", u256.New(1))
-	s.Set(pool, "x", u256.Zero)
+	s.Set(pool, aliceBal, u256.New(1))
+	s.Set(pool, aliceBal, u256.Zero)
 	if len(s.storage) != 0 {
 		t.Error("zero write left a live slot")
 	}
@@ -112,13 +119,13 @@ func TestCopyIsolation(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(1))
 	s.SetNonce(alice, 5)
-	s.Set(pool, "r0", u256.New(42))
+	s.Set(pool, r0, u256.New(42))
 
 	c := s.Copy()
 	c.Credit(alice, types.Ether(1))
 	c.IncNonce(alice)
-	c.Set(pool, "r0", u256.New(99))
-	c.Set(pool, "r1", u256.New(7))
+	c.Set(pool, r0, u256.New(99))
+	c.Set(pool, r1, u256.New(7))
 
 	if s.Balance(alice) != types.Ether(1) {
 		t.Error("copy mutation leaked into balance")
@@ -126,10 +133,10 @@ func TestCopyIsolation(t *testing.T) {
 	if s.Nonce(alice) != 5 {
 		t.Error("copy mutation leaked into nonce")
 	}
-	if s.Get(pool, "r0") != u256.New(42) {
+	if s.Get(pool, r0) != u256.New(42) {
 		t.Error("copy mutation leaked into storage")
 	}
-	if !s.Get(pool, "r1").IsZero() {
+	if !s.Get(pool, r1).IsZero() {
 		t.Error("copy addition leaked into storage")
 	}
 	// And the original keeps serving the copy's pre-mutation values.
@@ -170,14 +177,14 @@ func TestSnapshotRevert(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(5))
 	s.SetNonce(alice, 1)
-	s.Set(pool, "r0", u256.New(100))
+	s.Set(pool, r0, u256.New(100))
 	s.ClearJournal()
 
 	snap := s.Snapshot()
 	s.Credit(alice, types.Ether(3))
 	s.IncNonce(alice)
-	s.Set(pool, "r0", u256.New(999))
-	s.Set(pool, "r1", u256.New(7))
+	s.Set(pool, r0, u256.New(999))
+	s.Set(pool, r1, u256.New(7))
 	s.SetBalance(bob, types.Ether(1))
 
 	s.RevertTo(snap)
@@ -187,10 +194,10 @@ func TestSnapshotRevert(t *testing.T) {
 	if s.Nonce(alice) != 1 {
 		t.Errorf("nonce after revert = %d", s.Nonce(alice))
 	}
-	if s.Get(pool, "r0") != u256.New(100) {
-		t.Errorf("slot after revert = %s", s.Get(pool, "r0"))
+	if s.Get(pool, r0) != u256.New(100) {
+		t.Errorf("slot after revert = %s", s.Get(pool, r0))
 	}
-	if !s.Get(pool, "r1").IsZero() {
+	if !s.Get(pool, r1).IsZero() {
 		t.Error("new slot survived revert")
 	}
 	if !s.Balance(bob).IsZero() {
@@ -218,11 +225,11 @@ func TestNestedSnapshots(t *testing.T) {
 
 func TestRevertAfterDelete(t *testing.T) {
 	s := New()
-	s.Set(pool, "x", u256.New(5))
+	s.Set(pool, aliceBal, u256.New(5))
 	snap := s.Snapshot()
-	s.Set(pool, "x", u256.Zero) // deletes the slot
+	s.Set(pool, aliceBal, u256.Zero) // deletes the slot
 	s.RevertTo(snap)
-	if s.Get(pool, "x") != u256.New(5) {
+	if s.Get(pool, aliceBal) != u256.New(5) {
 		t.Error("deleted slot not restored")
 	}
 }
@@ -248,7 +255,7 @@ func TestForkReadsFallThrough(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(5))
 	s.SetNonce(alice, 3)
-	s.Set(pool, "r0", u256.New(100))
+	s.Set(pool, r0, u256.New(100))
 
 	f := s.Fork()
 	if f.Balance(alice) != types.Ether(5) {
@@ -257,8 +264,8 @@ func TestForkReadsFallThrough(t *testing.T) {
 	if f.Nonce(alice) != 3 {
 		t.Errorf("fork nonce = %d", f.Nonce(alice))
 	}
-	if f.Get(pool, "r0") != u256.New(100) {
-		t.Errorf("fork slot = %s", f.Get(pool, "r0"))
+	if f.Get(pool, r0) != u256.New(100) {
+		t.Errorf("fork slot = %s", f.Get(pool, r0))
 	}
 }
 
@@ -266,13 +273,13 @@ func TestForkWritesIsolated(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(5))
 	s.SetNonce(alice, 1)
-	s.Set(pool, "r0", u256.New(100))
+	s.Set(pool, r0, u256.New(100))
 
 	f := s.Fork()
 	f.Credit(alice, types.Ether(1))
 	f.IncNonce(alice)
-	f.Set(pool, "r0", u256.New(999))
-	f.Set(pool, "r1", u256.New(7))
+	f.Set(pool, r0, u256.New(999))
+	f.Set(pool, r1, u256.New(7))
 	if err := f.Debit(bob, types.Ether(1)); err == nil {
 		t.Error("fork overdraft allowed")
 	}
@@ -280,7 +287,7 @@ func TestForkWritesIsolated(t *testing.T) {
 	if s.Balance(alice) != types.Ether(5) || s.Nonce(alice) != 1 {
 		t.Error("fork mutation leaked into base account")
 	}
-	if s.Get(pool, "r0") != u256.New(100) || !s.Get(pool, "r1").IsZero() {
+	if s.Get(pool, r0) != u256.New(100) || !s.Get(pool, r1).IsZero() {
 		t.Error("fork mutation leaked into base storage")
 	}
 	if f.Balance(alice) != types.Ether(6) || f.Nonce(alice) != 2 {
@@ -290,17 +297,17 @@ func TestForkWritesIsolated(t *testing.T) {
 
 func TestForkDeleteShadowsBase(t *testing.T) {
 	s := New()
-	s.Set(pool, "x", u256.New(5))
+	s.Set(pool, aliceBal, u256.New(5))
 	f := s.Fork()
-	f.Set(pool, "x", u256.Zero)
-	if !f.Get(pool, "x").IsZero() {
+	f.Set(pool, aliceBal, u256.Zero)
+	if !f.Get(pool, aliceBal).IsZero() {
 		t.Error("fork delete fell through to base")
 	}
-	if s.Get(pool, "x") != u256.New(5) {
+	if s.Get(pool, aliceBal) != u256.New(5) {
 		t.Error("fork delete mutated base")
 	}
 	// Flattening honours the tombstone.
-	if !f.Copy().Get(pool, "x").IsZero() {
+	if !f.Copy().Get(pool, aliceBal).IsZero() {
 		t.Error("flattened copy resurrected deleted slot")
 	}
 }
@@ -308,24 +315,24 @@ func TestForkDeleteShadowsBase(t *testing.T) {
 func TestForkSnapshotRevert(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(5))
-	s.Set(pool, "r0", u256.New(100))
+	s.Set(pool, r0, u256.New(100))
 
 	f := s.Fork()
 	f.Credit(alice, types.Ether(1))
 	snap := f.Snapshot()
 	f.Credit(alice, types.Ether(1))
-	f.Set(pool, "r0", u256.Zero)
-	f.Set(pool, "r1", u256.New(9))
+	f.Set(pool, r0, u256.Zero)
+	f.Set(pool, r1, u256.New(9))
 	f.IncNonce(bob)
 
 	f.RevertTo(snap)
 	if f.Balance(alice) != types.Ether(6) {
 		t.Errorf("fork balance after revert = %s", f.Balance(alice))
 	}
-	if f.Get(pool, "r0") != u256.New(100) {
-		t.Errorf("fork slot after revert = %s", f.Get(pool, "r0"))
+	if f.Get(pool, r0) != u256.New(100) {
+		t.Errorf("fork slot after revert = %s", f.Get(pool, r0))
 	}
-	if !f.Get(pool, "r1").IsZero() || f.Nonce(bob) != 0 {
+	if !f.Get(pool, r1).IsZero() || f.Nonce(bob) != 0 {
 		t.Error("fork revert left stray writes")
 	}
 }
@@ -337,19 +344,19 @@ func TestForkMatchesCopy(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(10))
 	s.SetBalance(bob, types.Ether(3))
-	s.Set(pool, "r0", u256.New(1000))
-	s.Set(pool, "r1", u256.New(2000))
+	s.Set(pool, r0, u256.New(1000))
+	s.Set(pool, r1, u256.New(2000))
 
 	mutate := func(st *State) {
 		if err := st.Transfer(alice, bob, types.Ether(2)); err != nil {
 			t.Fatal(err)
 		}
 		st.IncNonce(alice)
-		st.AddTo(pool, "r0", u256.New(77))
-		if err := st.SubFrom(pool, "r1", u256.New(2000)); err != nil {
+		st.AddTo(pool, r0, u256.New(77))
+		if err := st.SubFrom(pool, r1, u256.New(2000)); err != nil {
 			t.Fatal(err)
 		}
-		st.Set(pool, "r2", u256.New(5))
+		st.Set(pool, price, u256.New(5))
 	}
 	c, f := s.Copy(), s.Fork()
 	mutate(c)
@@ -364,7 +371,7 @@ func TestForkMatchesCopy(t *testing.T) {
 			t.Errorf("nonce %s differs", a)
 		}
 	}
-	for _, k := range []string{"r0", "r1", "r2"} {
+	for _, k := range []Key{r0, r1, price} {
 		if c.Get(pool, k) != ff.Get(pool, k) {
 			t.Errorf("slot %s: copy %s, fork %s", k, c.Get(pool, k), ff.Get(pool, k))
 		}
@@ -385,19 +392,19 @@ func TestAbsorbFork(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(10))
 	s.SetBalance(bob, types.Ether(3))
-	s.Set(pool, "r0", u256.New(1000))
-	s.Set(pool, "r1", u256.New(2000))
+	s.Set(pool, r0, u256.New(1000))
+	s.Set(pool, r1, u256.New(2000))
 
 	f := s.Fork()
 	if err := f.Transfer(alice, bob, types.Ether(2)); err != nil {
 		t.Fatal(err)
 	}
 	f.IncNonce(alice)
-	f.AddTo(pool, "r0", u256.New(77))
-	if err := f.SubFrom(pool, "r1", u256.New(2000)); err != nil { // tombstone
+	f.AddTo(pool, r0, u256.New(77))
+	if err := f.SubFrom(pool, r1, u256.New(2000)); err != nil { // tombstone
 		t.Fatal(err)
 	}
-	f.Set(pool, "r2", u256.New(5))
+	f.Set(pool, price, u256.New(5))
 
 	want := f.Copy() // flatten before absorbing mutates the base
 	if err := s.AbsorbFork(s.Fork()); err != nil {
@@ -414,12 +421,12 @@ func TestAbsorbFork(t *testing.T) {
 			t.Errorf("nonce %s differs", a)
 		}
 	}
-	for _, k := range []string{"r0", "r1", "r2"} {
+	for _, k := range []Key{r0, r1, price} {
 		if s.Get(pool, k) != want.Get(pool, k) {
 			t.Errorf("slot %s: absorbed %s, want %s", k, s.Get(pool, k), want.Get(pool, k))
 		}
 	}
-	if _, ok := s.storage[Slot{pool, "r1"}]; ok {
+	if _, ok := s.storage[Slot{pool, r1}]; ok {
 		t.Error("tombstoned slot survived absorb as a live entry")
 	}
 	if err := New().AbsorbFork(s.Fork()); err == nil {
@@ -434,17 +441,17 @@ func TestConcurrentForksShareBase(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.SetBalance(crypto.AddressFromSeed("acct/"+string(rune('a'+i))), types.Ether(1))
 	}
-	s.Set(pool, "r0", u256.New(500))
+	s.Set(pool, r0, u256.New(500))
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			f := s.Fork()
 			for i := 0; i < 100; i++ {
 				f.Credit(alice, types.Ether(1))
-				f.AddTo(pool, "r0", u256.New(1))
+				f.AddTo(pool, r0, u256.New(1))
 				_ = f.Balance(crypto.AddressFromSeed("acct/b"))
 			}
-			if f.Get(pool, "r0") != u256.New(600) {
+			if f.Get(pool, r0) != u256.New(600) {
 				done <- fmt.Errorf("goroutine %d: fork state corrupted", g)
 				return
 			}
@@ -456,7 +463,7 @@ func TestConcurrentForksShareBase(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if s.Get(pool, "r0") != u256.New(500) {
+	if s.Get(pool, r0) != u256.New(500) {
 		t.Error("base mutated by forks")
 	}
 }
@@ -470,5 +477,157 @@ func BenchmarkFork(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := s.Fork()
 		f.Credit(alice, types.Ether(1))
+	}
+}
+
+// mutateFork drives one fork through the writes a speculative execution
+// makes: balances, nonces and storage, some reverted and some kept.
+func mutateFork(f *State) {
+	snap := f.Snapshot()
+	f.Credit(alice, types.Ether(1))
+	f.IncNonce(alice)
+	f.Set(pool, r0, u256.New(7))
+	f.AddTo(pool, aliceBal, u256.New(3))
+	f.RevertTo(snap)
+	f.Credit(bob, types.Ether(2))
+	f.Set(pool, r1, u256.Zero) // tombstone
+}
+
+// TestArenaReclaimReusesForks: a reclaimed fork comes back from the arena
+// with the same maps and journal array, cleared, and reading through to the
+// new base.
+func TestArenaReclaimReusesForks(t *testing.T) {
+	s := New()
+	s.SetBalance(alice, types.Ether(5))
+	s.Set(pool, r1, u256.New(9))
+	var a Arena
+	f := a.Fork(s)
+	mutateFork(f)
+	for i := 0; i < 100; i++ {
+		f.Set(pool, Key{Kind: KindBal, Holder: crypto.AddressFromSeed(fmt.Sprint(i))}, u256.New(1))
+	}
+	maps := []uintptr{reflect.ValueOf(f.balances).Pointer(), reflect.ValueOf(f.nonces).Pointer(), reflect.ValueOf(f.storage).Pointer()}
+	journal := cap(f.journal)
+	a.Reclaim()
+
+	s2 := New()
+	s2.SetBalance(alice, types.Ether(8))
+	g := a.Fork(s2)
+	if g != f {
+		t.Fatal("arena allocated a new fork instead of reusing the reclaimed one")
+	}
+	got := []uintptr{reflect.ValueOf(g.balances).Pointer(), reflect.ValueOf(g.nonces).Pointer(), reflect.ValueOf(g.storage).Pointer()}
+	if !reflect.DeepEqual(got, maps) {
+		t.Error("reclaimed fork's maps were replaced, not reused")
+	}
+	if len(g.balances)+len(g.nonces)+len(g.storage) != 0 || len(g.journal) != 0 {
+		t.Error("reclaimed fork kept writes from its previous life")
+	}
+	if cap(g.journal) != journal {
+		t.Errorf("journal capacity %d, want the reused %d", cap(g.journal), journal)
+	}
+	if g.Balance(alice) != types.Ether(8) || !g.Get(pool, r1).IsZero() || !g.Balance(bob).IsZero() {
+		t.Error("reused fork does not read through to its new base")
+	}
+}
+
+// TestArenaUseAfterReclaimPanics: every read, write and derivation through a
+// stale reference to a reclaimed fork panics.
+func TestArenaUseAfterReclaimPanics(t *testing.T) {
+	s := New()
+	s.SetBalance(alice, types.Ether(5))
+	var a Arena
+	f := a.Fork(s)
+	f.Credit(alice, types.Ether(1))
+	a.Reclaim()
+	uses := map[string]func(){
+		"Balance":      func() { f.Balance(alice) },
+		"Nonce":        func() { f.Nonce(alice) },
+		"Get":          func() { f.Get(pool, r0) },
+		"SetBalance":   func() { f.SetBalance(alice, types.Ether(1)) },
+		"Credit":       func() { f.Credit(alice, types.Ether(1)) },
+		"SetNonce":     func() { f.SetNonce(alice, 1) },
+		"Set":          func() { f.Set(pool, r0, u256.New(1)) },
+		"Snapshot":     func() { f.Snapshot() },
+		"RevertTo":     func() { f.RevertTo(0) },
+		"ClearJournal": func() { f.ClearJournal() },
+		"Copy":         func() { f.Copy() },
+		"Fork":         func() { f.Fork() },
+		"ArenaFork":    func() { a.Fork(f) },
+		"Export":       func() { f.Export() },
+		"TotalSupply":  func() { f.TotalSupply() },
+		"Accounts":     func() { f.Accounts() },
+		"AbsorbFork":   func() { _ = s.AbsorbFork(f) },
+	}
+	for name, use := range uses {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a reclaimed fork did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// TestArenaForkCycleAllocsZero: once warm, a slot round's fork → mutate →
+// snapshot/revert → reclaim cycle allocates nothing.
+func TestArenaForkCycleAllocsZero(t *testing.T) {
+	s := New()
+	s.SetBalance(alice, types.Ether(5))
+	s.Set(pool, r1, u256.New(9))
+	var a Arena
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			mutateFork(a.Fork(s))
+		}
+		a.Reclaim()
+	}
+	for i := 0; i < 3; i++ {
+		cycle() // warm-up grows the maps, journals and arena lists once
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("fork cycle allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestArenaConcurrentForks takes forks of one base from one arena on several
+// goroutines, as the slot engine's build and validate phases do, over
+// several reclaimed rounds. Run under -race.
+func TestArenaConcurrentForks(t *testing.T) {
+	s := New()
+	s.SetBalance(alice, types.Ether(5))
+	s.Set(pool, r0, u256.New(500))
+	var a Arena
+	for round := 0; round < 5; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					f := a.Fork(s)
+					for j := 0; j <= g; j++ {
+						f.Credit(alice, types.Ether(1))
+						f.AddTo(pool, r0, u256.New(1))
+					}
+					if f.Balance(alice) != types.Ether(float64(6+g)) || f.Get(pool, r0) != u256.New(uint64(501+g)) {
+						errs <- fmt.Errorf("round %d goroutine %d: fork saw another fork's writes", round, g)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		a.Reclaim()
+	}
+	if s.Balance(alice) != types.Ether(5) || s.Get(pool, r0) != u256.New(500) {
+		t.Error("base mutated by arena forks")
 	}
 }
