@@ -251,18 +251,6 @@ func (s *State) AbsorbFork(f *State) error {
 	return nil
 }
 
-// Fork returns a copy-on-write view of s in O(1): reads fall through to s
-// until the fork writes a key, and every mutation stays in the fork. s must
-// stay unmutated while the fork is alive, which also makes several forks of
-// one base safe to use from different goroutines. Forks that die within a
-// slot round come from an Arena instead, which recycles their maps.
-func (s *State) Fork() *State {
-	s.live()
-	f := New()
-	f.base = s
-	return f
-}
-
 // Arena hands out forks whose maps and journals are recycled in bulk. The
 // parallel slot engine takes every speculative fork of a slot round from
 // one arena and reclaims them all at one point, after the round's winner
@@ -277,8 +265,12 @@ type Arena struct {
 	free []*State // cleared, ready to hand out
 }
 
-// Fork returns a copy-on-write fork of base (see State.Fork) that stays
-// valid until the arena's next Reclaim; any use after that panics.
+// Fork returns a copy-on-write view of base in O(1): reads fall through to
+// base until the fork writes a key, and every mutation stays in the fork.
+// base must stay unmutated while the fork is alive, which also makes
+// several forks of one base safe to use from different goroutines. The
+// fork stays valid until the arena's next Reclaim; any use after that
+// panics.
 func (a *Arena) Fork(base *State) *State {
 	base.live()
 	a.mu.Lock()

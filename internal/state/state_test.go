@@ -3,7 +3,6 @@ package state
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"github.com/ethpbs/pbslab/internal/crypto"
@@ -257,7 +256,7 @@ func TestForkReadsFallThrough(t *testing.T) {
 	s.SetNonce(alice, 3)
 	s.Set(pool, r0, u256.New(100))
 
-	f := s.Fork()
+	f := new(Arena).Fork(s)
 	if f.Balance(alice) != types.Ether(5) {
 		t.Errorf("fork balance = %s", f.Balance(alice))
 	}
@@ -275,7 +274,7 @@ func TestForkWritesIsolated(t *testing.T) {
 	s.SetNonce(alice, 1)
 	s.Set(pool, r0, u256.New(100))
 
-	f := s.Fork()
+	f := new(Arena).Fork(s)
 	f.Credit(alice, types.Ether(1))
 	f.IncNonce(alice)
 	f.Set(pool, r0, u256.New(999))
@@ -298,7 +297,7 @@ func TestForkWritesIsolated(t *testing.T) {
 func TestForkDeleteShadowsBase(t *testing.T) {
 	s := New()
 	s.Set(pool, aliceBal, u256.New(5))
-	f := s.Fork()
+	f := new(Arena).Fork(s)
 	f.Set(pool, aliceBal, u256.Zero)
 	if !f.Get(pool, aliceBal).IsZero() {
 		t.Error("fork delete fell through to base")
@@ -317,7 +316,7 @@ func TestForkSnapshotRevert(t *testing.T) {
 	s.SetBalance(alice, types.Ether(5))
 	s.Set(pool, r0, u256.New(100))
 
-	f := s.Fork()
+	f := new(Arena).Fork(s)
 	f.Credit(alice, types.Ether(1))
 	snap := f.Snapshot()
 	f.Credit(alice, types.Ether(1))
@@ -358,7 +357,7 @@ func TestForkMatchesCopy(t *testing.T) {
 		}
 		st.Set(pool, price, u256.New(5))
 	}
-	c, f := s.Copy(), s.Fork()
+	c, f := s.Copy(), new(Arena).Fork(s)
 	mutate(c)
 	mutate(f)
 
@@ -395,7 +394,7 @@ func TestAbsorbFork(t *testing.T) {
 	s.Set(pool, r0, u256.New(1000))
 	s.Set(pool, r1, u256.New(2000))
 
-	f := s.Fork()
+	f := new(Arena).Fork(s)
 	if err := f.Transfer(alice, bob, types.Ether(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +406,7 @@ func TestAbsorbFork(t *testing.T) {
 	f.Set(pool, price, u256.New(5))
 
 	want := f.Copy() // flatten before absorbing mutates the base
-	if err := s.AbsorbFork(s.Fork()); err != nil {
+	if err := s.AbsorbFork(new(Arena).Fork(s)); err != nil {
 		t.Fatalf("absorb of empty fork: %v", err)
 	}
 	if err := s.AbsorbFork(f); err != nil {
@@ -429,39 +428,48 @@ func TestAbsorbFork(t *testing.T) {
 	if _, ok := s.storage[Slot{pool, r1}]; ok {
 		t.Error("tombstoned slot survived absorb as a live entry")
 	}
-	if err := New().AbsorbFork(s.Fork()); err == nil {
+	if err := New().AbsorbFork(new(Arena).Fork(s)); err == nil {
 		t.Error("absorbing a fork of a different base must fail")
 	}
 }
 
-// TestConcurrentForksShareBase races several forks of one base under the
-// race detector: reads fall through to shared maps, writes stay private.
+// TestConcurrentForksShareBase takes forks of one base from one arena on
+// several goroutines, as the slot engine's build and validate phases do,
+// over several reclaimed rounds. Run under -race: reads fall through to
+// shared maps, writes stay private, and reclaimed forks are handed out
+// again safely.
 func TestConcurrentForksShareBase(t *testing.T) {
 	s := New()
 	for i := 0; i < 64; i++ {
 		s.SetBalance(crypto.AddressFromSeed("acct/"+string(rune('a'+i))), types.Ether(1))
 	}
 	s.Set(pool, r0, u256.New(500))
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			f := s.Fork()
-			for i := 0; i < 100; i++ {
-				f.Credit(alice, types.Ether(1))
-				f.AddTo(pool, r0, u256.New(1))
-				_ = f.Balance(crypto.AddressFromSeed("acct/b"))
-			}
-			if f.Get(pool, r0) != u256.New(600) {
-				done <- fmt.Errorf("goroutine %d: fork state corrupted", g)
-				return
-			}
-			done <- nil
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Error(err)
+	var a Arena
+	for round := 0; round < 5; round++ {
+		done := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			go func(g int) {
+				for i := 0; i < 10; i++ {
+					f := a.Fork(s)
+					for j := 0; j <= g; j++ {
+						f.Credit(alice, types.Ether(1))
+						f.AddTo(pool, r0, u256.New(1))
+						_ = f.Balance(crypto.AddressFromSeed("acct/b"))
+					}
+					if f.Get(pool, r0) != u256.New(uint64(501+g)) || f.Balance(alice) != types.Ether(float64(1+g)) {
+						done <- fmt.Errorf("round %d goroutine %d: fork state corrupted", round, g)
+						return
+					}
+				}
+				done <- nil
+			}(g)
 		}
+		for g := 0; g < 8; g++ {
+			if err := <-done; err != nil {
+				t.Error(err)
+			}
+		}
+		a.Reclaim()
 	}
 	if s.Get(pool, r0) != u256.New(500) {
 		t.Error("base mutated by forks")
@@ -473,10 +481,11 @@ func BenchmarkFork(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		s.SetBalance(crypto.AddressFromSeed(string(rune(i))), types.Ether(1))
 	}
+	var a Arena
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := s.Fork()
-		f.Credit(alice, types.Ether(1))
+		a.Fork(s).Credit(alice, types.Ether(1))
+		a.Reclaim()
 	}
 }
 
@@ -552,7 +561,6 @@ func TestArenaUseAfterReclaimPanics(t *testing.T) {
 		"RevertTo":     func() { f.RevertTo(0) },
 		"ClearJournal": func() { f.ClearJournal() },
 		"Copy":         func() { f.Copy() },
-		"Fork":         func() { f.Fork() },
 		"ArenaFork":    func() { a.Fork(f) },
 		"Export":       func() { f.Export() },
 		"TotalSupply":  func() { f.TotalSupply() },
@@ -589,45 +597,5 @@ func TestArenaForkCycleAllocsZero(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("fork cycle allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-// TestArenaConcurrentForks takes forks of one base from one arena on several
-// goroutines, as the slot engine's build and validate phases do, over
-// several reclaimed rounds. Run under -race.
-func TestArenaConcurrentForks(t *testing.T) {
-	s := New()
-	s.SetBalance(alice, types.Ether(5))
-	s.Set(pool, r0, u256.New(500))
-	var a Arena
-	for round := 0; round < 5; round++ {
-		var wg sync.WaitGroup
-		errs := make(chan error, 8)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < 10; i++ {
-					f := a.Fork(s)
-					for j := 0; j <= g; j++ {
-						f.Credit(alice, types.Ether(1))
-						f.AddTo(pool, r0, u256.New(1))
-					}
-					if f.Balance(alice) != types.Ether(float64(6+g)) || f.Get(pool, r0) != u256.New(uint64(501+g)) {
-						errs <- fmt.Errorf("round %d goroutine %d: fork saw another fork's writes", round, g)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
-		a.Reclaim()
-	}
-	if s.Balance(alice) != types.Ether(5) || s.Get(pool, r0) != u256.New(500) {
-		t.Error("base mutated by arena forks")
 	}
 }
