@@ -1,15 +1,25 @@
 package core_test
 
-// Golden byte-identity test for the parallel analysis engine: the indexed,
-// memoized, worker-pooled path must render every artifact byte-for-byte
-// identically to the legacy sequential full-scan path. This is the
-// engine's central contract (DESIGN.md §6) — any float reassociation,
-// shard-boundary mistake, or map-order leak shows up here as a diff.
+// Absolute render digests for the analysis engine. TestRenderDigests pins
+// the SHA-256 of every report.RenderAll artifact for seeds 1–3 of a short
+// simulated window, at analysis workers 1 and 8, so any float
+// reassociation, shard-boundary mistake or map-order leak shows up as a
+// moved digest (DESIGN.md §6). The digests live in
+// testdata/golden/renderN.sha256 in sha256sum format. After an intended
+// output change, rewrite them and review what moved:
+//
+//	go test ./internal/core -run TestRenderDigests -update -v
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +29,8 @@ import (
 	"github.com/ethpbs/pbslab/internal/report"
 	"github.com/ethpbs/pbslab/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/golden render digests from this run and print what changed")
 
 // goldenDataset simulates a short window for one seed.
 func goldenDataset(t testing.TB, seed uint64, days int) *sim.Result {
@@ -38,34 +50,96 @@ func goldenDataset(t testing.TB, seed uint64, days int) *sim.Result {
 	return res
 }
 
-func TestParallelMatchesSequentialGolden(t *testing.T) {
+// renderRuns are the analysis configurations whose artifacts must match the
+// pinned digests.
+var renderRuns = []struct {
+	name    string
+	workers int
+	opts    []core.Option
+}{
+	{name: "workers=1", workers: 1, opts: []core.Option{core.WithWorkers(1)}},
+	{name: "workers=8", workers: 8, opts: []core.Option{core.WithWorkers(8)}},
+	{name: "sequential", workers: 1, opts: []core.Option{core.WithSequential()}},
+}
+
+func TestRenderDigests(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			res := goldenDataset(t, seed, 4)
 			labels := res.World.BuilderLabels()
-
-			seq := core.New(res.Dataset, core.WithBuilderLabels(labels), core.WithSequential())
-			par := core.New(res.Dataset, core.WithBuilderLabels(labels), core.WithWorkers(8))
-
-			want := report.RenderAll(seq, 1)
-			got := report.RenderAll(par, 8)
-
-			if len(want) != len(got) {
-				t.Fatalf("artifact count: sequential %d, parallel %d", len(want), len(got))
-			}
-			for i := range want {
-				if want[i].Name != got[i].Name {
-					t.Fatalf("artifact %d: name %q vs %q", i, want[i].Name, got[i].Name)
+			path := filepath.Join("testdata", "golden", fmt.Sprintf("render%d.sha256", seed))
+			for i, run := range renderRuns {
+				opts := append([]core.Option{core.WithBuilderLabels(labels)}, run.opts...)
+				got := renderDigests(t, report.RenderAll(core.New(res.Dataset, opts...), run.workers))
+				if i == 0 && *update {
+					updateRenderDigests(t, path, got)
 				}
-				if !bytes.Equal(want[i].Data, got[i].Data) {
-					t.Errorf("%s: parallel render differs from sequential (%d vs %d bytes)\n--- sequential ---\n%s\n--- parallel ---\n%s",
-						want[i].Name, len(want[i].Data), len(got[i].Data),
-						firstDiffContext(want[i].Data, got[i].Data), firstDiffContext(got[i].Data, want[i].Data))
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%v (run with -update to create it)", err)
+				}
+				if diff := lineDiff(string(want), got); diff != "" {
+					t.Errorf("seed %d, %s: render differs from %s:\n%s", seed, run.name, path, diff)
 				}
 			}
 		})
 	}
+}
+
+// renderDigests returns the sha256sum listing of the artifacts, in render
+// order.
+func renderDigests(t *testing.T, arts []report.Artifact) string {
+	t.Helper()
+	var b strings.Builder
+	for _, art := range arts {
+		if art.Err != nil {
+			t.Fatalf("%s: %v", art.Name, art.Err)
+		}
+		sum := sha256.Sum256(art.Data)
+		fmt.Fprintf(&b, "%s  %s\n", hex.EncodeToString(sum[:]), art.Name)
+	}
+	return b.String()
+}
+
+// lineDiff lists the lines that differ between two listings, or "" when
+// they are identical.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "  - %s\n  + %s\n", wl, gl)
+		}
+	}
+	return b.String()
+}
+
+// updateRenderDigests rewrites path with got and logs which lines changed.
+func updateRenderDigests(t *testing.T, path, got string) {
+	t.Helper()
+	old, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if string(old) == got {
+		t.Logf("%s: unchanged", path)
+		return
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s: rewritten\n%s", path, lineDiff(string(old), got))
 }
 
 // firstDiffContext returns a small window around the first differing byte.
