@@ -312,42 +312,14 @@ func (b *Builder) Submission(args Args, res *Result) *pbs.Submission {
 
 // BuildLocal is vanilla (non-PBS) block production: coverage-sampled public
 // transactions in tip order, no bundles, no payment transaction — the
-// proposer keeps tips directly as fee recipient.
-func BuildLocal(c *chain.Chain, slot uint64, feeRecipient types.Address,
-	pending []*types.Transaction, coverage float64, r *rng.RNG) *types.Block {
-
-	header := c.HeaderTemplate(slot, feeRecipient)
-	st := c.StateCopy()
-	ctx := evm.BlockContext{
-		Number: header.Number, Timestamp: header.Timestamp,
-		BaseFee: header.BaseFee, FeeRecipient: feeRecipient, GasLimit: header.GasLimit,
-	}
-
-	var (
-		txs     []*types.Transaction
-		gasUsed uint64
-	)
-	for _, tx := range pending {
-		if !r.Bool(coverage) {
-			continue
-		}
-		if applyOne(c, st, ctx, tx, &gasUsed, header.GasLimit) {
-			txs = append(txs, tx)
-		}
-	}
-	header.GasUsed = gasUsed
-	return types.NewBlock(header, txs)
-}
-
-// BuildLocalExec is BuildLocal against a caller-supplied state (typically a
-// copy-on-write fork of the canonical state), additionally returning the
-// execution artifacts accumulated while packing. The inclusion decisions,
-// coverage draws, and per-transaction execution are identical to BuildLocal;
-// the returned ProcessResult matches what chain.Process would produce for
-// the finished block — rejected transactions are fully reverted before the
-// next candidate runs — so the caller can commit through AcceptValidated
-// without executing the block a second time.
-func BuildLocalExec(c *chain.Chain, st *state.State, slot uint64, feeRecipient types.Address,
+// proposer keeps tips directly as fee recipient. It packs against a
+// caller-supplied state (typically a copy-on-write fork of the canonical
+// state) and also returns the execution artifacts accumulated while
+// packing. The returned ProcessResult matches what chain.Process would
+// produce for the finished block — rejected transactions are fully reverted
+// before the next candidate runs — so the caller can commit through
+// AcceptValidated without executing the block a second time.
+func BuildLocal(c *chain.Chain, st *state.State, slot uint64, feeRecipient types.Address,
 	pending []*types.Transaction, coverage float64, r *rng.RNG) (*types.Block, *chain.ProcessResult) {
 
 	header := c.HeaderTemplate(slot, feeRecipient)
@@ -386,23 +358,4 @@ func BuildLocalExec(c *chain.Chain, st *state.State, slot uint64, feeRecipient t
 	}
 	header.GasUsed = res.GasUsed
 	return types.NewBlock(header, txs), res
-}
-
-// applyOne applies tx if it is valid and fits the remaining gas, reverting
-// any partial effects otherwise.
-func applyOne(c *chain.Chain, st *state.State, ctx evm.BlockContext,
-	tx *types.Transaction, gasUsed *uint64, gasLimit uint64) bool {
-
-	snap := st.Snapshot()
-	res, err := c.Engine().ApplyTx(st, ctx, tx)
-	if err != nil {
-		st.RevertTo(snap)
-		return false
-	}
-	if *gasUsed+res.Receipt.GasUsed > gasLimit {
-		st.RevertTo(snap)
-		return false
-	}
-	*gasUsed += res.Receipt.GasUsed
-	return true
 }

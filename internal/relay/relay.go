@@ -150,12 +150,10 @@ type ChainView interface {
 // Relay is one running relay instance.
 type Relay struct {
 	Policy
-	chain     ChainView
-	sanctions *ofac.Registry
-	// blSchedule, when non-nil, replaces the per-submission blacklist
-	// rebuild with a precomputed boundary schedule (same membership, served
-	// as shared read-only maps). The simulator's parallel slot engine
-	// enables it; the legacy path keeps the per-lookup rebuild.
+	chain ChainView
+	// blSchedule is the relay's wave-lagged blacklist, precomputed at
+	// construction so each submission resolves its sanction set with a
+	// binary search.
 	blSchedule *ofac.Schedule
 
 	builderVKs map[types.PubKey]crypto.Hash
@@ -174,12 +172,12 @@ type Relay struct {
 }
 
 // New creates a relay bound to a chain view (its validation oracle) and the
-// global sanctions registry (which it snapshots with its own lag).
+// global sanctions registry, which it schedules with its own lag
+// (p.Faults.BlacklistApplied).
 func New(p Policy, c ChainView, sanctions *ofac.Registry) *Relay {
-	return &Relay{
+	r := &Relay{
 		Policy:     p,
 		chain:      c,
-		sanctions:  sanctions,
 		builderVKs: map[types.PubKey]crypto.Hash{},
 		internal:   map[types.PubKey]bool{},
 		validators: map[types.PubKey]pbs.Registration{},
@@ -188,6 +186,8 @@ func New(p Policy, c ChainView, sanctions *ofac.Registry) *Relay {
 		byHash:     map[types.Hash]*pbs.Submission{},
 		announced:  map[types.Hash]types.Wei{},
 	}
+	r.blSchedule = ofac.NewSchedule(sanctions, r.appliedAt)
+	return r
 }
 
 // AllowBuilder registers a builder as vetted by the relay operator
@@ -229,8 +229,8 @@ func (r *Relay) ValidatorRegistration(pub types.PubKey) (pbs.Registration, bool)
 
 // ValidatesAt reports whether the relay runs execution validation at time t
 // (i.e. t is outside its NoBlockValidation fault windows). The simulator's
-// parallel slot engine uses it to pre-validate exactly the blocks a
-// sequential submission pass would validate.
+// slot engine uses it to pre-validate exactly the blocks its in-order
+// commit phase would validate.
 func (r *Relay) ValidatesAt(t time.Time) bool {
 	return !inWindows(r.Faults.NoBlockValidation, t)
 }
@@ -260,27 +260,11 @@ func (r *Relay) appliedAt(d ofac.Designation) time.Time {
 	return applied
 }
 
-// EnableBlacklistSchedule precomputes the relay's wave-lagged blacklist as
-// an ofac.Schedule, so SubmitBlock resolves its sanction set with a binary
-// search instead of rebuilding a map per submission. Membership is
-// identical to the per-lookup rebuild.
-func (r *Relay) EnableBlacklistSchedule() {
-	r.blSchedule = ofac.NewSchedule(r.sanctions, r.appliedAt)
-}
-
-// blacklistAt builds the relay's enforced sanction set at time t, honoring
-// per-wave application lag.
-func (r *Relay) blacklistAt(t time.Time) map[types.Address]bool {
-	if r.blSchedule != nil {
-		return r.blSchedule.At(t)
-	}
-	out := map[types.Address]bool{}
-	for _, d := range r.sanctions.All() {
-		if !t.Before(r.appliedAt(d)) {
-			out[d.Address] = true
-		}
-	}
-	return out
+// BlacklistAt returns the relay's enforced sanction set at time t, honoring
+// per-wave application lag. The map is shared and read-only; filtering
+// builders aligned with the relay enforce the same set.
+func (r *Relay) BlacklistAt(t time.Time) map[types.Address]bool {
+	return r.blSchedule.At(t)
 }
 
 // touchesSanctioned reports whether any transaction moves value from or to
@@ -370,7 +354,7 @@ func (r *Relay) SubmitBlock(at time.Time, sub *pbs.Submission) error {
 	}
 
 	if r.OFACCompliant {
-		if touchesSanctioned(sub.Block, res, r.blacklistAt(at)) {
+		if touchesSanctioned(sub.Block, res, r.BlacklistAt(at)) {
 			r.rejected++
 			return ErrCensored
 		}

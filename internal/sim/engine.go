@@ -1,22 +1,22 @@
 package sim
 
-// The parallel slot engine: the RunOptions.Workers != 1 replacement for
-// runBuilders. It produces byte-identical results to the sequential path by
-// splitting each slot round into four phases with a strict ownership rule
-// per shared resource:
+// The slot engine runs each slot's builder auction over a bounded worker
+// pool (RunOptions.Workers; a pool of one is the same code). Its output does
+// not depend on the pool size because each slot round is split into four
+// phases with a strict ownership rule per shared resource:
 //
 //   A. Prepare (sequential): every draw from the shared flow RNG and every
 //      FindBundles call against the shared searcher context happens here, in
-//      exactly the order the sequential path makes them.
+//      builder order.
 //   B. Build (parallel): each builder constructs its block against a private
 //      copy-on-write fork of the canonical state, drawing only from its own
 //      private RNG stream, so scheduling order cannot perturb any draw.
-//   C. Validate (parallel): the distinct blocks that a sequential submission
-//      pass would execute are validated concurrently on separate forks and
-//      the results primed into the shared validation cache.
-//   D. Commit (sequential): submissions reach the relays in exactly the
-//      sequential path's order, so order-sensitive relay state (best-bid
-//      replacement is strictly-greater) is untouched.
+//   C. Validate (parallel): the distinct blocks that the in-order commit
+//      would execute are validated concurrently on separate forks and the
+//      results primed into the shared validation cache.
+//   D. Commit (sequential): submissions reach the relays in builder order,
+//      so order-sensitive relay state (best-bid replacement is
+//      strictly-greater) never depends on scheduling.
 //
 // Every fork a slot round takes — searcher context, builds, validations and
 // the local fallback block — comes from the engine's arena, which the run
@@ -54,15 +54,15 @@ type buildTask struct {
 	res  *builder.Result
 	sub  *pbs.Submission
 	ok   bool
-	// validate marks tasks whose block a sequential submission pass would
-	// execute; only those are pre-validated in phase C.
+	// validate marks tasks whose block the in-order commit would execute;
+	// only those are pre-validated in phase C.
 	validate bool
 
 	bundles   []*types.Bundle
 	candidate []*types.Transaction
 }
 
-// slotEngine holds the pooled per-slot scratch of the parallel path.
+// slotEngine holds the pooled per-slot scratch of the slot round.
 type slotEngine struct {
 	w       *World
 	view    *cachingView
@@ -72,7 +72,7 @@ type slotEngine struct {
 
 	tasks []*buildTask // task pool, grown on demand
 	used  int
-	order []*buildTask // current slot's tasks in sequential submit order
+	order []*buildTask // current slot's tasks in submit order
 	par   []*buildTask // subset built in parallel (distinct builders)
 	seq   []*buildTask // exploit subset (shared exploiter RNG: built in order)
 
@@ -80,24 +80,20 @@ type slotEngine struct {
 	valRes    []cachedValidation
 	seen      map[types.Hash]bool
 
-	// blSchedules caches each filtering builder's precomputed blacklist
-	// schedule (aligned-relay lag or the registry's day-after rule).
-	blSchedules map[*builderEntry]*ofac.Schedule
+	// dayAfter is the registry's day-after-designation blacklist, enforced
+	// by filtering builders without an aligned relay.
+	dayAfter *ofac.Schedule
 }
 
-// newSlotEngine switches the run onto the parallel path: the validation
-// cache falls back to fork-based validation from the engine's arena and
-// every relay resolves its blacklist from a precomputed schedule.
+// newSlotEngine builds the engine and points the validation cache's misses
+// at the engine's fork arena.
 func newSlotEngine(w *World, view *cachingView, workers int) *slotEngine {
-	for _, name := range w.RelayOrder {
-		w.Relays[name].EnableBlacklistSchedule()
-	}
 	eng := &slotEngine{
-		w:           w,
-		view:        view,
-		workers:     workers,
-		seen:        map[types.Hash]bool{},
-		blSchedules: map[*builderEntry]*ofac.Schedule{},
+		w:        w,
+		view:     view,
+		workers:  workers,
+		seen:     map[types.Hash]bool{},
+		dayAfter: ofac.NewSchedule(w.Sanctions, nil),
 	}
 	view.arena = &eng.arena
 	return eng
@@ -123,35 +119,22 @@ func (eng *slotEngine) grabTask() *buildTask {
 	return t
 }
 
-// blacklistFor resolves a filtering builder's sanction set at time at from a
-// per-builder schedule, matching World.builderBlacklist membership exactly:
-// aligned builders mirror their relay's wave lag, the rest follow the
-// registry's day-after rule. The returned map is shared and read-only.
+// blacklistFor resolves a filtering builder's sanction set at time at:
+// aligned builders enforce their relay's wave-lagged blacklist, the rest
+// follow the registry's day-after rule. The returned map is shared and
+// read-only.
 func (eng *slotEngine) blacklistFor(e *builderEntry, at time.Time) map[types.Address]bool {
 	if !e.Spec.OFACFiltering {
 		return nil
 	}
-	s, ok := eng.blSchedules[e]
-	if !ok {
-		var applied func(ofac.Designation) time.Time
-		if e.Spec.AlignedRelay != "" {
-			if r, aligned := eng.w.Relays[e.Spec.AlignedRelay]; aligned {
-				applied = func(d ofac.Designation) time.Time {
-					a := d.Effective()
-					if override, hit := r.Faults.BlacklistApplied[d.Designated.UTC().Format("2006-01-02")]; hit {
-						a = override
-					}
-					return a
-				}
-			}
-		}
-		s = ofac.NewSchedule(eng.w.Sanctions, applied)
-		eng.blSchedules[e] = s
+	if r, ok := eng.w.Relays[e.Spec.AlignedRelay]; ok {
+		return r.BlacklistAt(at)
 	}
-	return s.At(at)
+	return eng.dayAfter.At(at)
 }
 
-// runSlot is the parallel equivalent of World.runBuilders.
+// runSlot has every active builder construct and submit a block for the
+// slot.
 func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.PubKey,
 	proposerFee types.Address, shared []*types.Bundle, protected []*types.Transaction,
 	pending []*types.Transaction, sctx *searcher.Context, flowRng *rng.RNG) error {
@@ -163,8 +146,8 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 	eng.seq = eng.seq[:0]
 
 	// Phase A: sequential prepare. Shared flow-RNG draws and exclusive
-	// searcher runs against the shared context keep the sequential path's
-	// exact order; builder-private state is staged into the task.
+	// searcher runs against the shared context happen in builder order;
+	// builder-private state is staged into the task.
 	prep := func(e *builderEntry) {
 		if !e.Spec.Active.Contains(now) {
 			return
@@ -263,9 +246,9 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 		t.sub = w.Exploiter.Submission(t.args, t.res)
 	}
 
-	// Phase C: parallel validation of exactly the distinct blocks a
-	// sequential submission pass would execute, primed into the shared cache
-	// so the commit phase's relay checks are pure cache hits.
+	// Phase C: parallel validation of exactly the distinct blocks the
+	// in-order commit would execute, primed into the shared cache so the
+	// commit phase's relay checks are pure cache hits.
 	clear(eng.seen)
 	eng.valBlocks = eng.valBlocks[:0]
 	for _, t := range eng.order {
@@ -300,7 +283,7 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 		}
 	}
 
-	// Phase D: sequential commit in the legacy submission order.
+	// Phase D: sequential commit in builder order.
 	for _, t := range eng.order {
 		if !t.ok {
 			continue

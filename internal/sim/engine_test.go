@@ -5,8 +5,12 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/ethpbs/pbslab/internal/core"
+	"github.com/ethpbs/pbslab/internal/crypto"
+	"github.com/ethpbs/pbslab/internal/ofac"
+	"github.com/ethpbs/pbslab/internal/relay"
 	"github.com/ethpbs/pbslab/internal/report"
 )
 
@@ -20,9 +24,10 @@ func runWorkers(t *testing.T, sc Scenario, workers int) *Result {
 	return res
 }
 
-// TestRunWorkersGolden proves the tentpole invariant: the parallel slot
-// engine produces byte-identical datasets and ground truth to the
-// sequential legacy path at every worker count, across seeds.
+// TestRunWorkersGolden proves the slot engine's central invariant: its
+// datasets and ground truth do not depend on the pool size, across seeds.
+// The pool of one is the baseline; TestGoldenDigests in the root package
+// pins its absolute output bytes.
 func TestRunWorkersGolden(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		sc := shortScenario(3)
@@ -35,8 +40,8 @@ func TestRunWorkersGolden(t *testing.T) {
 }
 
 // TestRunWorkersGoldenArtifacts extends the equivalence to the rendered
-// artifact bytes: every report emitted from a parallel-engine run must be
-// byte-for-byte the file the legacy path emits.
+// artifact bytes: every report emitted from a run with a pool of eight must
+// be byte-for-byte the file a pool of one emits.
 func TestRunWorkersGoldenArtifacts(t *testing.T) {
 	render := func(res *Result) []report.Artifact {
 		a, err := core.NewWithContext(context.Background(), res.Dataset,
@@ -63,9 +68,9 @@ func TestRunWorkersGoldenArtifacts(t *testing.T) {
 	}
 }
 
-// TestParallelKillAndResumeGolden is the kill-and-resume golden on the
-// parallel path: a run interrupted at a day boundary and resumed — all with
-// the parallel engine — must match an uninterrupted sequential run.
+// TestParallelKillAndResumeGolden is the kill-and-resume golden across pool
+// sizes: a run interrupted at a day boundary and resumed, both with a pool
+// of four, must match an uninterrupted run with a pool of one.
 func TestParallelKillAndResumeGolden(t *testing.T) {
 	sc := shortScenario(4)
 	sc.Seed = 2
@@ -95,4 +100,46 @@ func TestParallelKillAndResumeGolden(t *testing.T) {
 		t.Fatalf("resumed run: %v", err)
 	}
 	sameResult(t, baseline, resumed)
+}
+
+// TestBlacklistForFollowsAlignedRelay checks a filtering builder's sanction
+// set: a builder aligned with a relay enforces that relay's lagged
+// schedule, any other filtering builder the registry's day-after rule. The
+// short golden windows end before the first lagged OFAC wave, so only this
+// test covers the difference.
+func TestBlacklistForFollowsAlignedRelay(t *testing.T) {
+	w, err := NewWorld(DefaultScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newSlotEngine(w, &cachingView{c: w.Chain}, 1)
+	var aligned *builderEntry
+	for _, e := range w.Builders {
+		if e.Spec.OFACFiltering && e.Spec.AlignedRelay == "Flashbots" {
+			aligned = e
+			break
+		}
+	}
+	if aligned == nil {
+		t.Fatal("no filtering builder aligned with Flashbots")
+	}
+	unaligned := &builderEntry{Spec: aligned.Spec}
+	unaligned.Spec.AlignedRelay = ""
+
+	addr := crypto.AddressFromSeed("ofac/nov2022/0")
+	effective := ofac.NovemberUpdateDate.Add(36 * time.Hour) // midday after designation
+	for _, c := range []struct {
+		name string
+		e    *builderEntry
+		at   time.Time
+		want bool
+	}{
+		{"aligned before the relay applied the wave", aligned, effective, false},
+		{"unaligned on the day after designation", unaligned, effective, true},
+		{"aligned once the relay applied the wave", aligned, relay.FlashbotsNovApplied.Add(time.Hour), true},
+	} {
+		if got := eng.blacklistFor(c.e, c.at)[addr]; got != c.want {
+			t.Errorf("%s: blacklisted = %v, want %v", c.name, got, c.want)
+		}
+	}
 }
