@@ -11,7 +11,6 @@
 //
 //	PBSLAB_BENCH_DAYS            window length (default 0 = full window)
 //	PBSLAB_BENCH_BLOCKS_PER_DAY  slot density  (default 6)
-//	PBSLAB_BENCH_SEQUENTIAL      1 = legacy full-scan analysis baseline
 package pbslab_test
 
 import (
@@ -64,16 +63,9 @@ func fixture(b *testing.B) (*core.Analysis, *sim.Result) {
 		}
 		// WithoutMemo: per-figure benchmarks loop b.N times and must
 		// measure the computation, not a cached-result lookup.
-		// PBSLAB_BENCH_SEQUENTIAL=1 pins the legacy full-scan path so the
-		// same suite yields the per-artifact baseline column.
-		opts := []core.Option{
+		fixtureA = core.New(fixtureRes.Dataset,
 			core.WithBuilderLabels(fixtureRes.World.BuilderLabels()),
-			core.WithoutMemo(),
-		}
-		if os.Getenv("PBSLAB_BENCH_SEQUENTIAL") == "1" {
-			opts = append(opts, core.WithSequential())
-		}
-		fixtureA = core.New(fixtureRes.Dataset, opts...)
+			core.WithoutMemo())
 	})
 	if fixtureErr != nil {
 		b.Fatal(fixtureErr)
@@ -630,14 +622,12 @@ func BenchmarkExtensionInclusionDelay(b *testing.B) {
 // --- Simulation slot engine (DESIGN.md §8) -------------------------------
 //
 // BenchmarkSimFullWindow runs the whole simulation at bench density through
-// both slot-engine paths: workers=1 is the sequential legacy round
-// (per-slot state deep copies, per-submission blacklist rebuilds, full
-// mempool re-sorts), any other count is the phased engine (copy-on-write
-// forks, precomputed blacklist schedules, the incrementally ordered
-// mempool, pooled slot scratch, and the bounded worker fan-out). The golden
-// tests guarantee both paths emit byte-identical datasets and artifacts;
-// derived.sim_speedup in BENCH_pr4.json is workers=1 ns/op ÷ workers=4
-// ns/op.
+// the slot engine with a pool of one and a pool of four, so
+// derived.sim_speedup (workers=1 ns/op ÷ workers=4 ns/op) measures pool
+// scaling. The golden tests guarantee both pool sizes emit byte-identical
+// datasets and artifacts. BENCH_pr4.json recorded the ratio when workers=1
+// still selected a separate sequential slot round, before that round was
+// deleted.
 func BenchmarkSimFullWindow(b *testing.B) {
 	sc := sim.DefaultScenario()
 	sc.BlocksPerDay = envInt("PBSLAB_BENCH_BLOCKS_PER_DAY", 6)
@@ -667,34 +657,12 @@ func BenchmarkSimFullWindow(b *testing.B) {
 //
 // The engine splits analysis into a build stage (classify every block, then
 // one fused index pass — EngineIndexBuild) and a render stage (regenerate
-// all 19 artifacts from the built analysis — EngineRegen*). The regen pair
-// compares the render stage only, with construction excluded from the
-// timer in both cases: the legacy path pays a full corpus scan per figure
-// on every render, the indexed path answers from the single-pass index.
-// The golden test guarantees both produce byte-identical artifacts;
-// derived.figure_regen_speedup in BENCH_pr2.json is scan ns/op ÷ indexed
-// ns/op, and EngineIndexBuild reports the one-time cost the index path
-// pays up front.
+// all 19 artifacts from the built analysis — EngineRegenIndexed), each
+// timed without the other. derived.index_build_share_of_regen in the
+// benchjson record is build ns/op ÷ render ns/op.
 
-// BenchmarkEngineRegenScan renders every artifact (19 figure CSVs plus
-// tables.txt) through the legacy path: repeated full scans per figure, no
-// index, no memoization, one render worker. This is what every render cost
-// before the engine existed.
-func BenchmarkEngineRegenScan(b *testing.B) {
-	_, res := fixture(b)
-	a := core.New(res.Dataset,
-		core.WithBuilderLabels(res.World.BuilderLabels()),
-		core.WithSequential(), core.WithoutMemo())
-	b.ResetTimer()
-	var arts []artifacts.Artifact
-	for i := 0; i < b.N; i++ {
-		arts = artifacts.RenderAll(a, 1)
-	}
-	report(b, "artifacts", float64(len(arts)))
-}
-
-// BenchmarkEngineRegenIndexed renders the same artifact set from the
-// single-pass index through the bounded worker pool. WithoutMemo keeps the
+// BenchmarkEngineRegenIndexed renders every artifact (19 figure CSVs plus
+// tables.txt) from the single-pass index through the bounded worker pool. WithoutMemo keeps the
 // per-iteration work honest: every iteration recomputes each artifact from
 // the index rather than returning a cached result.
 func BenchmarkEngineRegenIndexed(b *testing.B) {

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	figures -out DIR [-days N] [-blocks-per-day N] [-seed N]
-//	        [-workers N] [-sim-workers N] [-sequential]
+//	        [-workers N] [-sim-workers N]
 //	        [-private-flow F] [-small-builders N] [-relay-outages SPEC]
 //	        [-ofac-lag SPEC]
 //	        [-checkpoint-dir DIR] [-resume] [-timeout D]

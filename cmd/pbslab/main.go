@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pbslab [-days N] [-blocks-per-day N] [-seed N] [-workers N]
-//	       [-sim-workers N] [-sequential] [-figures DIR] [-dump-dataset]
+//	       [-sim-workers N] [-figures DIR] [-dump-dataset]
 //	       [-dataset-format chunked|blob] [-scale N]
 //	       [-private-flow F] [-small-builders N] [-relay-outages SPEC]
 //	       [-ofac-lag SPEC]
@@ -15,10 +15,9 @@
 //
 // The default -days 0 runs the paper's full window (2022-09-15 through
 // 2023-03-31, 198 days); smaller values truncate it for quick runs.
-// -sequential selects the legacy full-scan analysis baseline, and
-// -sim-workers sets the simulation slot engine's parallelism (0 = all
-// CPUs, 1 = the sequential legacy slot path); output is byte-identical
-// at every setting.
+// -workers sets the analysis worker pool and -sim-workers the simulation
+// slot engine's pool (0 = all CPUs); output is byte-identical at every
+// setting.
 //
 // The scenario knobs the pbsfleet experiment grid sweeps are also plain
 // flags here, with the same syntax and validation (internal/cli.Knobs):

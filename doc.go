@@ -14,7 +14,7 @@
 //     datasets — never simulator ground truth — and computes every figure
 //     and table of the evaluation. Blocks are classified in parallel, one
 //     fused pass builds a per-day index, and all artifacts render from it
-//     byte-identically to the legacy sequential scans (golden-tested).
+//     byte-identically at every worker count (pinned by committed digests).
 //
 // Package map (each package carries its own doc; `make docs-lint`
 // enforces that):

@@ -14,13 +14,12 @@
 // (stats.DayAgg aggregates, per-cluster samples, coverage counters, the
 // inclusion-delay report). Every public figure/table method answers from
 // the index and memoizes its result, so PrintAll + WriteAll compute each
-// artifact exactly once. The legacy scan-per-figure path is kept behind
-// WithSequential as the baseline the engine is measured against; for a
-// fixed dataset both paths produce byte-identical artifacts for any worker
-// count — shards cut at day boundaries and merge in chain order, so every
-// floating-point reduction associates exactly as a sequential pass. The
-// golden test (TestParallelMatchesSequentialGolden) enforces this, and
-// WithoutMemo/WithWorkers tune benchmarking and pool width.
+// artifact exactly once. For a fixed dataset the artifacts are
+// byte-identical for any worker count — shards cut at day boundaries and
+// merge in chain order, so every floating-point reduction associates
+// exactly as a single chain-order pass. The render digests
+// (TestRenderDigests) pin this, and WithoutMemo/WithWorkers tune
+// benchmarking and pool width.
 package core
 
 import (
@@ -129,9 +128,8 @@ type Analysis struct {
 
 	clusters map[types.Address]*Cluster
 
-	workers    int
-	sequential bool
-	noMemo     bool
+	workers int
+	noMemo  bool
 
 	// preDelay, when non-nil, is the inclusion-delay report the streaming
 	// build accumulated during its one transaction-level pass; buildIndex
@@ -187,15 +185,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithSequential selects the legacy full-scan analysis path: no index, no
-// worker pool — every figure re-scans the corpus exactly as the original
-// sequential implementation did. It is the reference the parallel engine is
-// tested against (byte-identical output) and the baseline the benchmarks
-// compare with.
-func WithSequential() Option {
-	return func(a *Analysis) { a.sequential = true }
-}
-
 // WithoutMemo disables result memoization, so every figure/table call
 // recomputes from scratch. Benchmarks use this to measure steady-state cost
 // rather than a single cached lookup.
@@ -236,9 +225,6 @@ func NewWithContext(ctx context.Context, ds *dataset.Dataset, opts ...Option) (*
 	for _, opt := range opts {
 		opt(a)
 	}
-	if a.sequential {
-		a.workers = 1
-	}
 
 	claims := indexRelayClaims(ds)
 	mevByBlock := indexMEV(ds)
@@ -268,17 +254,15 @@ func NewWithContext(ctx context.Context, ds *dataset.Dataset, opts ...Option) (*
 			}
 		}
 	}
-	if !a.sequential {
-		idx, err := buildIndex(ctx, a)
-		if err != nil {
-			return nil, fmt.Errorf("core: index: %w", err)
-		}
-		a.idx = idx
+	idx, err := buildIndex(ctx, a)
+	if err != nil {
+		return nil, fmt.Errorf("core: index: %w", err)
 	}
+	a.idx = idx
 	return a, nil
 }
 
-// Workers returns the analysis worker-pool size (1 when sequential).
+// Workers returns the analysis worker-pool size.
 func (a *Analysis) Workers() int { return a.workers }
 
 // shardRanges splits [0, n) into at most k contiguous half-open ranges.

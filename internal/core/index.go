@@ -13,9 +13,9 @@ import (
 // figures and tables need, accumulated in ONE walk over the classified
 // corpus instead of one walk per artifact. It is built by New over
 // day-aligned shards (each worker owns a contiguous day range) and merged
-// in shard order, so every running float sum sees samples in exactly the
-// order the sequential scans add them — the foundation of the byte-identity
-// guarantee against the legacy path.
+// in shard order, so every running float sum sees samples in chain order
+// whatever the worker count — the foundation of the byte-identity
+// guarantee across worker counts.
 //
 // After construction the index is read-only; all figure methods can run
 // concurrently against it.
@@ -60,7 +60,7 @@ type Index struct {
 }
 
 // coverageCounts are the raw Section 4 coverage tallies; shares are derived
-// at report time with the same divisions the sequential scan performs.
+// at report time.
 type coverageCounts struct {
 	pbs, claimed, multi, paid, noPayment, selfBuilt int
 }
@@ -123,7 +123,7 @@ func newIndexShell(lo, hi int, relayNames, clusterNames []string) *Index {
 }
 
 // addBlock folds one classified block into every aggregate — the fused body
-// of all the legacy per-figure scan loops.
+// of every per-figure loop.
 func (ix *Index) addBlock(st *BlockStat, compliant map[string]bool) {
 	d := st.Day
 
@@ -468,7 +468,7 @@ func (ix *Index) figure19() ProfitSplit {
 }
 
 // idxFigure13 reads the gas aggregate; the gas target is the last block's
-// limit over two, exactly as the sequential scan leaves it.
+// limit over two.
 func (a *Analysis) idxFigure13() SizeBands {
 	var target float64
 	if n := len(a.stats); n > 0 {

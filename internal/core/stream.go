@@ -33,10 +33,6 @@ type DaySource interface {
 // Analysis answers every figure and table byte-identically to the
 // in-memory path — the per-day pass visits blocks in exactly the chain
 // order the sharded passes of New reduce in.
-//
-// The legacy sequential scan path is unavailable here (its per-figure
-// scans re-read transactions that are no longer resident), so combining
-// NewStreaming with WithSequential is an error.
 func NewStreaming(ctx context.Context, src DaySource, opts ...Option) (*Analysis, error) {
 	common, srcLabels, err := src.Common()
 	if err != nil {
@@ -55,9 +51,6 @@ func NewStreaming(ctx context.Context, src DaySource, opts ...Option) (*Analysis
 	}
 	for _, opt := range opts {
 		opt(a)
-	}
-	if a.sequential {
-		return nil, fmt.Errorf("core: streaming build has no sequential path: the full-scan figures need resident transactions")
 	}
 
 	claims := indexRelayClaims(common)
