@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ethpbs/pbslab/internal/atomicio"
 	"github.com/ethpbs/pbslab/internal/dsio"
 	"github.com/ethpbs/pbslab/internal/faults"
 	"github.com/ethpbs/pbslab/internal/report"
@@ -738,7 +739,9 @@ func TestServePollerHotSwapsAndDedupsRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(manifestPath, broken, 0o644); err != nil {
+	// Replace the manifest atomically, as report.WriteAll does: a truncating
+	// write can be fingerprinted torn and then whole, two distinct rejects.
+	if err := atomicio.WriteFile(manifestPath, broken, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	waitFor("degradation after corrupt manifest", func() bool { return s.Store().Status().Degraded })
