@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check docs-lint staticcheck govulncheck chaos chaos-fleet chaos-agent chaos-wan soak crawl bench bench-e2e bench-sim bench-serve bench-serve-sustained bench-fleet bench-scale bench-agent clean
+.PHONY: all build vet test race check docs-lint staticcheck govulncheck chaos chaos-fleet chaos-agent chaos-wan soak crawl bench bench-e2e bench-sim bench-serve bench-serve-sustained bench-fleet bench-scale bench-agent loc clean
 
 all: check
 
@@ -21,9 +21,8 @@ race:
 # Tier-1 gate: everything builds and vets clean, the analysis-engine and
 # stats worker pools and the state fork arena (which hands out forks to
 # several goroutines) pass under the race detector, the full suite
-# (including the golden parallel-vs-sequential byte-identity test and the
-# pinned output digests) passes, and the chaos suite proves the pipeline is
-# crash-safe.
+# (including the pinned output and render digests) passes, and the chaos
+# suite proves the pipeline is crash-safe.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -61,8 +60,8 @@ govulncheck:
 	fi
 
 # Crash-safety suite under the race detector: kill-and-resume goldens
-# (simulation checkpoints and byte-identical artifacts, on both the
-# sequential and parallel slot-engine paths), worker-count byte-identity
+# (simulation checkpoints and byte-identical artifacts across slot-engine
+# pool sizes), worker-count byte-identity
 # goldens, corruption injection against the dataset validator and the
 # manifest verifier, and crawler checkpoint persistence.
 chaos:
@@ -127,6 +126,10 @@ soak:
 		-run 'Admission|ServeOverload|Drain|Reload|ServePanic|SlowLoris|FaultInjection|Poller|KillAndRestart|WriteFile|Decode|Cache|Replica|Singleflight' \
 		./internal/serve/... ./internal/atomicio/... ./internal/dsio/...
 
+# Net-lines metric (ROADMAP.md item 1): non-test Go lines outside e2ebench/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './e2ebench/*' ! -path './.*' ! -path './out/*' -print0 | xargs -0 cat | wc -l
+
 # The fault-injected crawl demo (byte-identical stdout per -seed).
 crawl:
 	$(GO) run ./cmd/relaycrawl
@@ -138,8 +141,8 @@ bench-e2e:
 	bash e2ebench/run.sh --workload all
 
 # DESIGN.md §3 benchmark set over the full paper window, recorded as a
-# committed machine-readable baseline. EngineRegenScan vs EngineRegenIndexed
-# yields derived.figure_regen_speedup in BENCH_pr2.json.
+# committed machine-readable baseline. EngineIndexBuild vs
+# EngineRegenIndexed yields derived.index_build_share_of_regen.
 BENCH_OUT ?= BENCH_pr2.json
 bench:
 	mkdir -p out
@@ -147,10 +150,11 @@ bench:
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) out/bench_pr2.txt
 	$(MAKE) bench-scale
 
-# DESIGN.md §8 benchmark: the full-window simulation on the sequential path
-# (workers=1) vs the parallel slot engine (workers=4), recorded as
-# derived.sim_speedup in BENCH_pr4.json. Both rows produce byte-identical
-# output (the worker-count goldens in `make chaos` enforce it).
+# DESIGN.md §8 benchmark: the full-window simulation through the slot engine
+# with a pool of one (workers=1) and a pool of four (workers=4), recorded as
+# derived.sim_speedup, the engine's pool scaling. Both rows produce
+# byte-identical output (the worker-count goldens in `make chaos` enforce
+# it).
 SIM_BENCH_OUT ?= BENCH_pr4.json
 bench-sim:
 	mkdir -p out
